@@ -553,11 +553,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     print(f"entries:   {stats['entries']}")
     print(f"size:      {stats['bytes'] / 1024.0:.1f} KiB")
     print(f"hits:      {stats['hits']}")
-    # Hits split by which key kind answered: "canonical" = the prepassed
-    # canonical-structure key (structural variants collapse onto it), "raw"
-    # = the raw-structure key (prepass off, or fallback hits on entries
-    # written before the prepass existed). Counters predating the split
-    # leave both at 0 while hits is nonzero.
+    # Hits split by which key kind answered: "raw" = the raw-structure key
+    # of the netlist as submitted, probed before any prepass (exact repeats,
+    # prepass-off runs, entries written before the prepass existed);
+    # "canonical" = the prepassed canonical-structure key (structural
+    # variants collapse onto it). Counters predating the split leave both
+    # at 0 while hits is nonzero.
     print(f"  canonical-key: {stats['hits_canonical']}")
     print(f"  raw-key:       {stats['hits_raw']}")
     print(f"misses:    {stats['misses']}")

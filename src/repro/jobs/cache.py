@@ -45,6 +45,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "CanonicalPolyCache",
+    "abstraction_stats",
     "canonical_cache_key",
     "default_cache_dir",
     "locking_available",
@@ -149,14 +150,20 @@ def polynomial_payload(result: AbstractionResult) -> Dict:
         "output_word": result.output_word,
         "input_words": list(result.input_words),
         "terms": terms,
-        "stats": {
-            "case": result.stats.case,
-            "seconds": result.stats.seconds,
-            "peak_terms": result.stats.peak_terms,
-            "substitutions": result.stats.substitutions,
-            "gates": result.stats.gate_count,
-            "cones": result.stats.cones,
-        },
+        "stats": abstraction_stats(result),
+    }
+
+
+def abstraction_stats(result: AbstractionResult) -> Dict:
+    """The ``stats`` block of a cache value, straight from a fresh result."""
+    stats = result.stats
+    return {
+        "case": stats.case,
+        "seconds": stats.seconds,
+        "peak_terms": stats.peak_terms,
+        "substitutions": stats.substitutions,
+        "gates": stats.gate_count,
+        "cones": stats.cones,
     }
 
 
@@ -226,35 +233,26 @@ class CanonicalPolyCache:
         return payload, source != "computed"
 
     def lookup_or_compute(
-        self,
-        key: str,
-        compute: Callable[[], Dict],
-        fallback_keys: "Tuple[str, ...] | tuple" = (),
+        self, key: str, compute: Callable[[], Dict]
     ) -> Tuple[Dict, str]:
-        """Like :meth:`get_or_compute`, with fallback keys and hit attribution.
+        """Like :meth:`get_or_compute`, but says where the payload came from.
 
-        Returns ``(payload, source)`` where source is ``"primary"`` (hit on
-        ``key``), ``"fallback"`` (hit on one of ``fallback_keys``), or
-        ``"computed"``. The prepass pipeline keys on the *canonical*
-        (prepassed) structure and passes the raw-structure key as fallback,
-        so entries written before the prepass existed — or by
-        ``REPRO_PREPASS=0`` runs — still answer; a fallback hit is promoted
-        under the primary key so the next lookup hits directly.
+        Returns ``(payload, source)`` where source is ``"hit"`` (``key``
+        already held a payload, possibly published by a peer while this
+        caller waited on the lock) or ``"computed"``. A single key: the
+        prepass pipeline probes the raw-structure key itself before it
+        canonicalizes, and calls this with the canonical key only on a raw
+        miss.
         """
         payload = self.get(key)
         if payload is not None:
-            return payload, "primary"
-        for fallback in fallback_keys:
-            payload = self.get(fallback)
-            if payload is not None:
-                self.put(key, payload)
-                return payload, "fallback"
+            return payload, "hit"
         if fcntl is not None:
             self.locks.mkdir(parents=True, exist_ok=True)
         with _exclusive_lock(self.locks / f"{key}.lock"):
             payload = self.get(key)  # a peer may have published meanwhile
             if payload is not None:
-                return payload, "primary"
+                return payload, "hit"
             payload = compute()
             self.put(key, payload)
             return payload, "computed"
@@ -274,7 +272,8 @@ class CanonicalPolyCache:
 
         ``hits_canonical``/``hits_raw`` break total hits out by which key
         kind answered: the prepassed canonical-structure key vs the
-        raw-structure key (fallback lookups and ``REPRO_PREPASS=0`` runs).
+        raw-structure key of the netlist as submitted (exact repeats, and
+        every hit of a ``REPRO_PREPASS=0`` run).
         """
         if not hits and not misses:
             return

@@ -13,9 +13,11 @@ the paper's pipeline:
     Netlist reading (BLIF / structural Verilog).
 ``prepass``
     Structural pre-reduction (:mod:`repro.prepass`): canonicalization plus
-    the fraig SAT sweep, run before hashing so cache keys are structural-
-    variant-invariant. Nonzero even on warm hits — the canonical key is a
-    function of the prepassed circuit.
+    the fraig SAT sweep, run before the canonical key is hashed so cache
+    keys are structural-variant-invariant. It runs only when the submitted
+    netlist's raw-structure key misses: an exact repeat of a cached netlist
+    reports 0.0 here, while a structural variant's first submission pays
+    the prepass and then hits the canonical key.
 ``rato_setup``
     Building the Refined Abstraction Term Order (Definition 5.1).
 ``spoly_reduction``
@@ -49,7 +51,7 @@ from ..gf import GF2m
 from ..prepass import abstract_canonical
 from ..verify import check_ideal_membership
 from ..verify.equivalence import verify_equivalence
-from .cache import CanonicalPolyCache, rehydrate_polynomial
+from .cache import CanonicalPolyCache
 
 __all__ = [
     "execute_job",
@@ -236,17 +238,17 @@ def run_abstract(
         inflight=inflight,
         prepass=params.get("prepass"),
     )
-    payload = probe.payload
-    polynomial = rehydrate_polynomial(payload, field)
+    polynomial = probe.polynomial(field)
+    stats = probe.stats
     record = {
-        "polynomial": _poly_str(polynomial, payload["output_word"]),
+        "polynomial": _poly_str(polynomial, probe.output_word),
         "terms": len(polynomial),
-        "case": payload["stats"]["case"],
+        "case": stats["case"],
         "cache_hit": probe.hit,
-        "abstraction_stats": payload["stats"],
+        "abstraction_stats": stats,
         "k": field.k,
         "gates": circuit.num_gates(),
-        "cones": payload["stats"].get("cones") or 0,
+        "cones": stats.get("cones") or 0,
     }
     if probe.prepass is not None:
         record["prepass"] = probe.prepass.stats()

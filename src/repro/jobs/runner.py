@@ -63,8 +63,8 @@ class BatchReport:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Hits broken out by which key kind answered: the prepassed
-    #: canonical-structure key vs the raw-structure key (fallback lookups
-    #: and ``prepass: false`` jobs).
+    #: canonical-structure key vs the raw-structure key of the netlist as
+    #: submitted (exact repeats, and every hit of a ``prepass: false`` job).
     cache_hits_canonical: int = 0
     cache_hits_raw: int = 0
 

@@ -222,8 +222,9 @@ REVENG_OBFUSCATION_GATES_ADDED = "reveng.obfuscation_gates_added"
 # stage (merges happen only on proven-UNSAT miters — unknown queries are
 # left untouched, so nets_merged + sat_refuted + sat_unknown <= sat_queries
 # never lies about soundness). The key-hit pair splits cache hits by which
-# key answered: canonical (prepassed structure) vs raw fallback — the
-# canonical share is the hit-rate multiplication the prepass exists for.
+# key answered: raw (the netlist as submitted, probed before any prepass —
+# exact repeats) vs canonical (prepassed structure) — the canonical share is
+# the hit-rate multiplication the prepass exists for.
 # guard_failures counts differential-guard trips (prepass output disagreed
 # with the original on random vectors; the caller fell back to the raw
 # netlist).

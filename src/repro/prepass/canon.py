@@ -178,14 +178,9 @@ def _rebuild(
         amap[node] = rec
 
     # ---- resolve outputs and keep only reachable logic ----------------------
-    out_nets: List[str] = []
-    for net in circuit.outputs:
-        if net not in out_nets:
-            out_nets.append(net)
+    out_nets: Dict[str, None] = dict.fromkeys(circuit.outputs)  # ordered set
     for word in sorted(circuit.output_words):
-        for bit in circuit.output_words[word]:
-            if bit not in out_nets:
-                out_nets.append(bit)
+        out_nets.update(dict.fromkeys(circuit.output_words[word]))
     out_res: Dict[str, Tuple[int, int]] = {
         net: resolve(lits[net]) for net in out_nets if not circuit.is_input(net)
     }
@@ -209,26 +204,29 @@ def _rebuild(
     # injective structural signature over already-numbered children (two
     # distinct interned nodes can't share one, so the sort is total).
     level: Dict[int, int] = {}
+    buckets: Dict[int, List[int]] = {}
     for idx in gate_nodes:  # ascending index is already topological
         if ops[idx] == "and":
             kids = [child for child, _comp in args[idx]]
         else:
-            kids = list(args[idx])
-        level[idx] = 1 + max(level.get(child, 0) for child in kids)
+            kids = args[idx]
+        lvl = 1 + max(level.get(child, 0) for child in kids)
+        level[idx] = lvl
+        buckets.setdefault(lvl, []).append(idx)
 
     cid: Dict[int, int] = {idx: pos for pos, idx in enumerate(input_idx)}
+
+    def signature(idx: int) -> tuple:
+        if ops[idx] == "and":
+            return (
+                "and",
+                tuple(sorted((cid[child], comp) for child, comp in args[idx])),
+            )
+        return ops[idx], tuple(sorted(cid[child] for child in args[idx]))
+
     next_cid = len(input_idx)
-    for lvl in sorted(set(level.values())):
-        bucket = [i for i in gate_nodes if level[i] == lvl]
-
-        def signature(idx: int) -> tuple:
-            if ops[idx] == "and":
-                return (
-                    "and",
-                    tuple(sorted((cid[child], comp) for child, comp in args[idx])),
-                )
-            return ops[idx], tuple(sorted(cid[child] for child in args[idx]))
-
+    for lvl in sorted(buckets):
+        bucket = buckets[lvl]
         bucket.sort(key=signature)
         for idx in bucket:
             cid[idx] = next_cid

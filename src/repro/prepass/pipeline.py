@@ -7,16 +7,25 @@ and trace replay), the batch executor's ``run_verify``/``run_abstract``
 the reverse-engineering probes. It owns the full contract:
 
 * resolve the prepass tri-state (explicit flag > ``REPRO_PREPASS`` env),
-* run :func:`~repro.prepass.reduce.apply_prepass` under a ``prepass`` span,
-  falling back to the raw circuit (and ticking
-  ``prepass.guard_failures``) if the differential guard trips,
-* key the cache on the **canonical** (prepassed) structure, falling back
-  to the raw-structure key so entries written before the prepass existed
-  — or by ``REPRO_PREPASS=0`` runs — still hit (a raw-key hit is promoted
-  under the canonical key),
+* with a cache attached, probe the **raw** key first — the structure of
+  the netlist exactly as submitted. An exact repeat hits here and runs no
+  prepass at all,
+* only on a raw miss run :func:`~repro.prepass.reduce.apply_prepass` under
+  a ``prepass`` span, falling back to the raw circuit (and ticking
+  ``prepass.guard_failures``) if the differential guard trips, then key
+  the cache on the **canonical** (prepassed) structure, so structural
+  variants of a cached design still hit. Whatever that step returns —
+  computed or a canonical hit — is also written under the raw key, so the
+  next exact repeat skips the prepass,
 * tick ``cache.*`` totals plus the ``prepass.*`` canonical/raw key-hit
   split, and mirror both into the caller's ``counters`` dict so batch run
   logs and ``repro cache stats`` can break hits out by key kind.
+
+Entries written before the prepass existed, or by ``REPRO_PREPASS=0``
+runs, sit under raw keys, so the raw probe answers them directly. Calls
+with neither a cache nor a single-flight group (the CLI, replay) prepass
+every time and hand the fresh extraction straight back: no payload is
+encoded because nothing stores or shares it.
 
 Keeping this in :mod:`repro.prepass` (which imports only circuits, aig,
 core and obs) lets both :mod:`repro.jobs.executor` and
@@ -29,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..algebra import Polynomial
 from ..circuits import Circuit
-from ..core import extract_canonical
+from ..core import AbstractionResult, extract_canonical
 from ..gf import GF2m
 from ..obs import metrics
 from ..obs import redtrace
@@ -44,18 +54,44 @@ __all__ = ["AbstractionProbe", "abstract_canonical"]
 class AbstractionProbe:
     """One cache-aware canonical-polynomial lookup/computation."""
 
-    payload: Dict
     hit: bool
-    #: How the payload was obtained: ``"computed"`` (fresh extraction),
-    #: ``"canonical"`` (hit under the prepassed-structure key), ``"raw"``
-    #: (hit under the raw-structure key — fallback or prepass disabled), or
-    #: ``"shared"`` (another in-process caller's in-flight result).
+    #: How the answer was obtained: ``"computed"`` (fresh extraction),
+    #: ``"raw"`` (hit under the submitted netlist's raw-structure key, or
+    #: under the only key there is when the prepass is off), ``"canonical"``
+    #: (hit under the prepassed-structure key), or ``"shared"`` (another
+    #: in-process caller's in-flight result).
     source: str
     #: Prepass accounting when the prepass ran and survived its guard.
     prepass: Optional[PrepassResult]
     #: The fresh extraction result (None on any kind of hit) — carries the
     #: parallel-pool stats payloads don't.
-    result: Optional[object]
+    result: Optional[AbstractionResult]
+    #: The cache value. None on cache-less calls, where nothing is stored
+    #: or shared and the fresh ``result`` answers instead.
+    payload: Optional[Dict] = None
+
+    def polynomial(self, field: GF2m) -> Polynomial:
+        """The canonical polynomial: the fresh result's, else the payload's."""
+        if self.result is not None:
+            return self.result.polynomial
+        from ..jobs.cache import rehydrate_polynomial
+
+        return rehydrate_polynomial(self.payload, field)
+
+    @property
+    def stats(self) -> Dict:
+        """The payload's ``stats`` block (case, seconds, peak terms, ...)."""
+        if self.payload is not None:
+            return self.payload["stats"]
+        from ..jobs.cache import abstraction_stats
+
+        return abstraction_stats(self.result)
+
+    @property
+    def output_word(self) -> str:
+        if self.payload is not None:
+            return self.payload["output_word"]
+        return self.result.output_word
 
 
 def abstract_canonical(
@@ -70,76 +106,79 @@ def abstract_canonical(
     inflight=None,
     prepass: Optional[bool] = None,
 ) -> AbstractionProbe:
-    """Canonical-polynomial payload for a flat circuit: prepass + cache.
+    """Canonical polynomial of a flat circuit: raw probe, prepass, cache.
 
     ``cache`` is a :class:`~repro.jobs.cache.CanonicalPolyCache` (or None);
     ``inflight`` an optional single-flight group (``do(key, fn) ->
-    (value, shared)``) for in-process dedup; ``prepass`` the tri-state
-    override (None defers to ``REPRO_PREPASS``). On a miss the RATO and
-    reduction work runs inside :func:`~repro.core.abstraction.extract_canonical`,
-    whose spans feed the executor's phase timings.
+    (value, shared)``) for in-process dedup, keyed like the cache after
+    the prepass; ``prepass`` the tri-state override (None defers to
+    ``REPRO_PREPASS``). On a miss the RATO and reduction work runs inside
+    :func:`~repro.core.abstraction.extract_canonical`, whose spans feed the
+    executor's phase timings.
     """
-    use_prepass = resolve_prepass(prepass)
-    target = circuit
+    from ..jobs.cache import canonical_cache_key, polynomial_payload
+
+    def key_of(netlist: Circuit) -> str:
+        return canonical_cache_key(netlist, field, case2=case2, output_word=output_word)
+
+    raw_key: Optional[str] = None
+    key: Optional[str] = None
+    payload: Optional[Dict] = None
+    source = "computed"
     pres: Optional[PrepassResult] = None
-    if use_prepass and not isinstance(circuit, Circuit):
-        use_prepass = False  # hierarchical designs are abstracted block-wise
-    if use_prepass:
-        with span("prepass", gates=circuit.num_gates()):
-            try:
-                pres = apply_prepass(circuit)
-                target = pres.circuit
-            except PrepassError:
-                # Guard tripped (already counted): verdicts must never
-                # depend on the prepass, so abstract the raw netlist.
-                target = circuit
-                pres = None
-
     fresh: list = []
-
-    def compute() -> Dict:
-        from ..jobs.cache import polynomial_payload
-
-        result = extract_canonical(
-            target, field, output_word=output_word, case2=case2, jobs=jobs
-        )
-        fresh.append(result)
-        return polynomial_payload(result)
-
-    if cache is None and inflight is None:
-        payload, hit, source = compute(), False, "computed"
-    else:
-        from ..jobs.cache import canonical_cache_key
-
-        key = canonical_cache_key(target, field, case2=case2, output_word=output_word)
-        fallback_keys: Tuple[str, ...] = ()
-        if target is not circuit:
-            raw_key = canonical_cache_key(
-                circuit, field, case2=case2, output_word=output_word
-            )
-            if raw_key != key:
-                fallback_keys = (raw_key,)
-
-        def lookup() -> Tuple[Dict, str]:
-            if cache is None:
-                return compute(), "computed"
-            return cache.lookup_or_compute(key, compute, fallback_keys=fallback_keys)
-
-        if inflight is None:
-            payload, src = lookup()
-        else:
-            (payload, src), shared = inflight.do(key, lookup)
-            if shared:
-                src = "shared"
-        hit = src != "computed"
-        if src == "primary":
-            source = "canonical" if use_prepass else "raw"
-        elif src == "fallback":
+    if cache is not None:
+        key = raw_key = key_of(circuit)
+        payload = cache.get(raw_key)
+        if payload is not None:
             source = "raw"
-        else:
-            source = src
 
-    raw_hit = hit and (source == "raw" or not use_prepass)
+    if payload is None:
+        target = circuit
+        if resolve_prepass(prepass) and isinstance(circuit, Circuit):
+            # (Hierarchical designs are abstracted block-wise, unprepassed.)
+            with span("prepass", gates=circuit.num_gates()):
+                try:
+                    pres = apply_prepass(circuit)
+                    target = pres.circuit
+                except PrepassError:
+                    # Guard tripped (already counted): verdicts must never
+                    # depend on the prepass, so abstract the raw netlist.
+                    pass
+
+        def extract() -> AbstractionResult:
+            result = extract_canonical(
+                target, field, output_word=output_word, case2=case2, jobs=jobs
+            )
+            fresh.append(result)
+            return result
+
+        if cache is None and inflight is None:
+            extract()
+        else:
+            key = raw_key if target is circuit and raw_key else key_of(target)
+
+            def compute() -> Dict:
+                return polynomial_payload(extract())
+
+            def lookup() -> Tuple[Dict, str]:
+                if cache is None:
+                    return compute(), "computed"
+                return cache.lookup_or_compute(key, compute)
+
+            if inflight is None:
+                payload, source = lookup()
+            else:
+                (payload, source), shared = inflight.do(key, lookup)
+                if shared:
+                    source = "shared"
+            if source == "hit":
+                source = "raw" if pres is None else "canonical"
+            if cache is not None and key != raw_key:
+                cache.put(raw_key, payload)
+
+    hit = source != "computed"
+    raw_hit = source == "raw" or (source == "shared" and pres is None)
     canonical_hit = hit and not raw_hit
     if counters is not None:
         counters["hits"] = counters.get("hits", 0) + int(hit)
@@ -154,16 +193,16 @@ def abstract_canonical(
     if raw_hit:
         metrics.counter_add(metrics.PREPASS_RAW_KEY_HITS, 1)
     rtw = redtrace.active_writer()
-    if rtw is not None and (cache is not None or inflight is not None):
+    if rtw is not None and key is not None:
         # Environment-dependent by nature (a warm cache answers differently
         # than a cold one), so the replay differ never sees these: the
         # `repro verify --record` path runs cache-less. They exist for the
         # daemon's flight recorder.
-        rtw.emit("cache_probe", key=key[:16], hit=bool(hit))
+        rtw.emit("cache_probe", key=key[:16], hit=hit)
     return AbstractionProbe(
-        payload=payload,
         hit=hit,
         source=source,
         prepass=pres,
         result=fresh[0] if fresh else None,
+        payload=payload,
     )

@@ -8,8 +8,8 @@ coefficient matching — Section 6's methodology. Either side may be a flat
 composed at word level, as in the Montgomery experiments of Table 2).
 
 This is *the* pipeline: flat sides route through
-:func:`repro.prepass.abstract_canonical` — structural prepass, then the
-content-addressed cache (canonical key first, raw key fallback), then
+:func:`repro.prepass.abstract_canonical` — the content-addressed cache's
+raw key, then on a miss the structural prepass and the canonical key, then
 :func:`~repro.core.extract_canonical` — which is the same engine the batch
 executor and the service scheduler call, so CLI, batch, and service cannot
 diverge. The prepass is function-preserving, and by Corollary 4.1 a
@@ -187,7 +187,7 @@ def _side_polynomial(
     """One side's canonical polynomial through the shared pipeline stage.
 
     Flat circuits route through :func:`repro.prepass.abstract_canonical`
-    (prepass + canonical/raw cache keys + extraction); hierarchical designs
+    (raw/canonical cache keys + prepass + extraction); hierarchical designs
     keep the block-wise composition path (already decomposed, no cache).
     Returns ``(polynomial, stats, cache_hit)``.
     """
@@ -196,7 +196,6 @@ def _side_polynomial(
         return poly, stats, False
 
     from ..prepass import abstract_canonical
-    from ..jobs.cache import rehydrate_polynomial
 
     probe = abstract_canonical(
         design,
@@ -209,10 +208,10 @@ def _side_polynomial(
         inflight=inflight,
         prepass=prepass,
     )
-    poly = rehydrate_polynomial(probe.payload, field)
-    stats: Dict[str, object] = dict(probe.payload["stats"])
+    poly = probe.polynomial(field)
+    stats: Dict[str, object] = dict(probe.stats)
     stats["cache_hit"] = probe.hit
-    stats["output_word"] = probe.payload["output_word"]
+    stats["output_word"] = probe.output_word
     result = probe.result
     if result is not None and result.stats.jobs:
         stats["parallel"] = {

@@ -55,23 +55,24 @@ class TestBatchCommand:
         assert (in_netlist_dir / "run.jsonl").exists()
 
         # Second run: every abstraction must come from the cache — via the
-        # canonical key, since both runs had the prepass on.
+        # raw key, since the rerun submits the very same netlists.
         rc = main(["batch", manifest, "--jobs", "2", "--cache-dir", "cache"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "3 hit(s) [3 canonical-key, 0 raw-key], 0 miss(es)" in out
+        assert "3 hit(s) [0 canonical-key, 3 raw-key], 0 miss(es)" in out
 
+        # Two designs, each stored under its canonical and its raw key.
         rc = main(["cache", "stats", "--cache-dir", "cache"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "entries:   2" in out
+        assert "entries:   4" in out
         hits_line = next(l for l in out.splitlines() if l.startswith("hits:"))
         assert int(hits_line.split()[1]) >= 3
 
         rc = main(["cache", "clear", "--cache-dir", "cache"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "cleared 2" in out
+        assert "cleared 4" in out
 
     def test_failing_job_sets_exit_code(self, in_netlist_dir, capsys):
         manifest = _manifest(

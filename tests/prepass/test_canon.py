@@ -5,8 +5,11 @@ import random
 import pytest
 
 from repro.circuits import Circuit, GateType, simulate
-from repro.jobs.cache import normalize_circuit_text
+from repro.gf import GF2m
+from repro.jobs.cache import canonical_cache_key, normalize_circuit_text
 from repro.prepass import canonical_input_order, canonicalize
+from repro.reveng import obfuscate
+from repro.synth import montgomery_multiplier
 
 
 def _equivalent(a: Circuit, b: Circuit, lanes: int = 64, seed: int = 99) -> bool:
@@ -160,3 +163,17 @@ def test_input_fed_output_survives():
     canon = canonicalize(c)
     assert len(canon.outputs) == 2
     assert _equivalent(c, canon)
+
+
+def test_canonical_key_golden_value():
+    """Canonical keys must not drift, or every on-disk cache goes cold.
+
+    Pins the key of a k=16 Montgomery multiplier, clean and behind all six
+    obfuscation passes stacked; both canonicalize to the same netlist.
+    """
+    field = GF2m(16)
+    clean = montgomery_multiplier(field).flatten()
+    stacked = obfuscate(clean, seed=2014).circuit
+    golden = "828acc3b909f3b5fe4b65a089282e0790c4a807a114cc8e4bf79cff7beeb63ac"
+    assert canonical_cache_key(canonicalize(stacked), field) == golden
+    assert canonical_cache_key(canonicalize(clean), field) == golden

@@ -1,11 +1,18 @@
 """The prepass -> cache -> abstraction pipeline and its integration points."""
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
+from repro import obs
 from repro.circuits import Circuit, GateType, to_blif
-from repro.jobs.cache import CanonicalPolyCache, rehydrate_polynomial
+from repro.jobs.cache import (
+    CanonicalPolyCache,
+    abstraction_stats,
+    canonical_cache_key,
+    rehydrate_polynomial,
+)
 from repro.jobs.executor import execute_job, run_verify
 from repro.jobs.manifest import ManifestError, manifest_from_dict
 from repro.prepass import (
@@ -81,16 +88,36 @@ def test_prepass_agrees_on_buggy_designs(gf16):
     assert on.counterexample == off.counterexample
 
 
-# -- cache key fallback and promotion -----------------------------------------
+# -- raw key first, canonical key on a raw miss ------------------------------
 
 
-def test_raw_key_entries_answer_and_get_promoted(tmp_path, gf16):
-    """A prepass-on lookup falls back to raw-key entries and promotes them.
+@contextmanager
+def _traced():
+    """A fresh span collector for the block; the previous one is restored."""
+    previous = obs.active_collector()
+    collector = obs.enable(obs.TraceCollector())
+    try:
+        yield collector
+    finally:
+        obs.disable()
+        if previous is not None:
+            obs.enable(previous)
+
+
+def _span_names(collector):
+    return [record["name"] for record in collector.snapshot()["spans"]]
+
+
+def _counter(collector, name):
+    return collector.snapshot()["counters"].get(name, 0)
+
+
+def test_raw_key_entries_answer_prepass_on_lookups(tmp_path, gf16):
+    """Raw-key entries answer prepass-on lookups before any prepass runs.
 
     Entries written by ``REPRO_PREPASS=0`` runs (or before the prepass
-    existed) sit under the raw-structure key; the first prepass-on lookup
-    answers from them (a ``raw`` hit) and re-publishes the payload under
-    the canonical key, which the next lookup hits directly.
+    existed) sit under the raw-structure key, which is exactly what a
+    prepass-on lookup probes first: every such lookup is a ``raw`` hit.
     """
     cache = CanonicalPolyCache(tmp_path / "cache")
     circuit = gf_squarer(gf16)
@@ -98,19 +125,77 @@ def test_raw_key_entries_answer_and_get_promoted(tmp_path, gf16):
     assert not seeded.hit
 
     counters = {}
-    fallback = abstract_canonical(
-        circuit, gf16, cache=cache, counters=counters, prepass=True
-    )
-    assert fallback.hit and fallback.source == "raw"
-    assert counters["hits_raw"] == 1 and counters["hits_canonical"] == 0
-
-    promoted = abstract_canonical(
-        circuit, gf16, cache=cache, counters=counters, prepass=True
-    )
-    assert promoted.hit and promoted.source == "canonical"
-    assert counters["hits_canonical"] == 1
-    poly = rehydrate_polynomial(promoted.payload, gf16)
+    for _ in range(2):
+        probe = abstract_canonical(
+            circuit, gf16, cache=cache, counters=counters, prepass=True
+        )
+        assert probe.hit and probe.source == "raw" and probe.prepass is None
+    assert counters["hits_raw"] == 2 and counters["hits_canonical"] == 0
+    poly = rehydrate_polynomial(probe.payload, gf16)
     assert poly == rehydrate_polynomial(seeded.payload, gf16)
+
+
+def test_exact_repeat_runs_no_prepass(tmp_path, gf16):
+    cache = CanonicalPolyCache(tmp_path / "cache")
+    circuit = mastrovito_multiplier(gf16)
+    cold = abstract_canonical(circuit, gf16, cache=cache)
+    assert not cold.hit and cold.prepass is not None
+
+    counters = {}
+    with _traced() as collector:
+        warm = abstract_canonical(circuit, gf16, cache=cache, counters=counters)
+    assert warm.hit and warm.source == "raw" and warm.prepass is None
+    assert "prepass" not in _span_names(collector)
+    assert _counter(collector, "prepass.runs") == 0
+    assert _counter(collector, "prepass.raw_key_hits") == 1
+    assert counters == {"hits": 1, "misses": 0, "hits_canonical": 0, "hits_raw": 1}
+    assert warm.payload["terms"] == cold.payload["terms"]
+
+
+def test_variant_hits_canonical_then_its_raw_alias(tmp_path, gf16):
+    """A variant's first probe hits the canonical key and aliases its raw key.
+
+    The second probe of the same variant is then a raw hit that runs no
+    prepass: ``prepass.runs`` does not move.
+    """
+    cache = CanonicalPolyCache(tmp_path / "cache")
+    clean = mastrovito_multiplier(gf16)
+    variant = obfuscate(clean, seed=6).circuit
+    abstract_canonical(clean, gf16, cache=cache)
+    raw_key = canonical_cache_key(variant, gf16)
+    assert cache.get(raw_key) is None
+
+    with _traced() as collector:
+        first = abstract_canonical(variant, gf16, cache=cache)
+        runs = _counter(collector, "prepass.runs")
+        second = abstract_canonical(variant, gf16, cache=cache)
+    assert first.hit and first.source == "canonical" and runs == 1
+    assert cache.get(raw_key)["terms"] == first.payload["terms"]
+    assert second.hit and second.source == "raw"
+    assert _counter(collector, "prepass.runs") == runs
+    assert _span_names(collector).count("prepass") == 1
+
+
+def test_computed_payload_is_stored_under_both_keys(tmp_path, gf16):
+    cache = CanonicalPolyCache(tmp_path / "cache")
+    variant = obfuscate(mastrovito_multiplier(gf16), seed=6).circuit
+    probe = abstract_canonical(variant, gf16, cache=cache)
+    assert not probe.hit
+    canonical_key = canonical_cache_key(probe.prepass.circuit, gf16)
+    raw_key = canonical_cache_key(variant, gf16)
+    assert canonical_key != raw_key
+    for key in (canonical_key, raw_key):
+        assert cache.get(key)["terms"] == probe.payload["terms"]
+
+
+def test_cacheless_probe_skips_the_payload(gf16):
+    """Without a cache or single-flight group nothing is encoded."""
+    circuit = mastrovito_multiplier(gf16)
+    probe = abstract_canonical(circuit, gf16)
+    assert probe.payload is None and not probe.hit
+    assert probe.polynomial(gf16) == probe.result.polynomial
+    assert probe.stats == abstraction_stats(probe.result)
+    assert probe.output_word == "Z"
 
 
 def test_cache_stats_break_out_key_kinds(tmp_path):
@@ -247,8 +332,13 @@ def test_execute_job_emits_prepass_phase_and_counter_split(tmp_path, gf16):
     assert cold["cache"] == {
         "hits": 1, "misses": 1, "hits_canonical": 1, "hits_raw": 0,
     }
+    # The rerun submits both netlists verbatim: raw-key hits, no prepass.
     warm = execute_job(dict(job, id="j2"), cache_dir=str(tmp_path / "cache"))
-    assert warm["cache"]["hits"] == 2 and warm["cache"]["hits_canonical"] == 2
+    assert warm["cache"] == {
+        "hits": 2, "misses": 0, "hits_canonical": 0, "hits_raw": 2,
+    }
+    assert warm["phases"]["prepass"] == 0.0
+    assert warm["spec_polynomial"] == cold["spec_polynomial"]
     off = execute_job(
         {
             "id": "j3",
